@@ -10,7 +10,7 @@
 //
 // With -replay it instead pairs two real client stacks on one recorded
 // trace: the same request stream — byte-identical arrivals, payloads, and
-// timestamps — is issued open-loop through an unbatched sequential client
+// timestamps — is issued open-loop through an unbatched one-client pool
 // and through the coalescing rpc.Batcher, against the same in-process
 // echo server, so any latency difference is the client stack's alone:
 //
@@ -188,11 +188,11 @@ func runTraceAB(path string, dilate float64, maxBatch int) error {
 	row("Errors", func(a record.ABArm) float64 { return float64(a.Stats.Errors) })
 	row("Replay wall time (s)", func(a record.ABArm) float64 { return a.Stats.Duration.Seconds() })
 	row("Max issue lag (ms)", func(a record.ABArm) float64 { return float64(a.Stats.MaxLagNanos) / 1e6 })
-	row("Mean latency (ms)", func(a record.ABArm) float64 { return a.Latency.Mean() / 1e6 })
-	row("p50 latency (ms)", func(a record.ABArm) float64 { return a.Latency.Quantile(0.5) / 1e6 })
-	row("p99 latency (ms)", func(a record.ABArm) float64 { return a.Latency.Quantile(0.99) / 1e6 })
+	row("Mean latency (ms)", func(a record.ABArm) float64 { return a.Stats.Latency.Mean() / 1e6 })
+	row("p50 latency (ms)", func(a record.ABArm) float64 { return a.Stats.Latency.Quantile(0.5) / 1e6 })
+	row("p99 latency (ms)", func(a record.ABArm) float64 { return a.Stats.Latency.Quantile(0.99) / 1e6 })
 	fmt.Print(tb.Render())
-	if um, bm := res.Unbatched.Latency.Mean(), res.Batched.Latency.Mean(); bm > 0 {
+	if um, bm := res.Unbatched.Stats.Latency.Mean(), res.Batched.Stats.Latency.Mean(); bm > 0 {
 		fmt.Printf("\nMean-latency ratio (unbatched/batched): %.3gx\n", um/bm)
 	}
 	return nil
@@ -227,11 +227,11 @@ func runServingAB(path string, dilate float64, workers int, offloadLatency time.
 	row("Errors", func(a record.ABArm) float64 { return float64(a.Stats.Errors) })
 	row("Replay wall time (s)", func(a record.ABArm) float64 { return a.Stats.Duration.Seconds() })
 	row("Max issue lag (ms)", func(a record.ABArm) float64 { return float64(a.Stats.MaxLagNanos) / 1e6 })
-	row("Mean latency (ms)", func(a record.ABArm) float64 { return a.Latency.Mean() / 1e6 })
-	row("p50 latency (ms)", func(a record.ABArm) float64 { return a.Latency.Quantile(0.5) / 1e6 })
-	row("p99 latency (ms)", func(a record.ABArm) float64 { return a.Latency.Quantile(0.99) / 1e6 })
+	row("Mean latency (ms)", func(a record.ABArm) float64 { return a.Stats.Latency.Mean() / 1e6 })
+	row("p50 latency (ms)", func(a record.ABArm) float64 { return a.Stats.Latency.Quantile(0.5) / 1e6 })
+	row("p99 latency (ms)", func(a record.ABArm) float64 { return a.Stats.Latency.Quantile(0.99) / 1e6 })
 	fmt.Print(tb.Render())
-	if sp, ap := res.Sync.Latency.Quantile(0.99), res.Async.Latency.Quantile(0.99); ap > 0 {
+	if sp, ap := res.Sync.Stats.Latency.Quantile(0.99), res.Async.Stats.Latency.Quantile(0.99); ap > 0 {
 		fmt.Printf("\np99 ratio (sync/async): %.3gx\n", sp/ap)
 	}
 	if explain {

@@ -549,37 +549,37 @@ func runReplayRPC(path string, dilate float64) error {
 	defer srv.Close() //modelcheck:ignore errdrop — in-process teardown after the replay completed
 	serveCtx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	clientConn, serverConn := net.Pipe()
-	go srv.ServeConn(serveCtx, serverConn)
-	client, err := rpc.NewClient(clientConn, nil)
+	pool, err := rpc.NewClientPool(1, func() (*rpc.Client, error) {
+		clientConn, serverConn := net.Pipe()
+		go srv.ServeConn(serveCtx, serverConn)
+		return rpc.NewClient(clientConn, nil)
+	})
 	if err != nil {
 		return err
 	}
-	defer client.Close() //modelcheck:ignore errdrop — pipe close on teardown
+	defer pool.Close() //modelcheck:ignore errdrop — pipe close on teardown
 
-	reg := telemetry.NewRegistry()
-	hist, err := reg.Histogram("replay_latency_nanos", "per-call replay latency in nanoseconds")
+	stats, err := record.ReplayRPC(context.Background(), tr, pool.CallContext, record.RPCReplayConfig{Dilate: dilate})
 	if err != nil {
 		return err
 	}
-	stats, err := record.ReplayRPC(context.Background(), tr,
-		record.SerializeCalls(client.CallContext),
-		record.RPCReplayConfig{Dilate: dilate, Latency: hist})
-	if err != nil {
-		return err
-	}
-	snap := hist.Snapshot()
 	fmt.Printf("Trace replay (rpc): %s — %d events, %s recorded span, dilation %g\n\n",
 		path, len(tr.Events), tr.Duration(), dilate)
+	fmt.Print(replayStatsTable(stats).Render())
+	return nil
+}
+
+// replayStatsTable tabulates an open-loop replay's stats; latency runs
+// from each arrival's due time.
+func replayStatsTable(stats record.LoadStats) *textchart.Table {
 	tb := textchart.NewTable("Metric", "Value")
 	tb.AddRowf("Requests issued", stats.Issued)
 	tb.AddRowf("Errors", stats.Errors)
 	tb.AddRowf("Replay wall time", stats.Duration.Seconds())
 	tb.AddRowf("Max issue lag (ms)", float64(stats.MaxLagNanos)/1e6)
-	tb.AddRowf("p50 latency (ms)", snap.Quantile(0.5)/1e6)
-	tb.AddRowf("p99 latency (ms)", snap.Quantile(0.99)/1e6)
-	fmt.Print(tb.Render())
-	return nil
+	tb.AddRowf("p50 latency (ms)", stats.Latency.Quantile(0.5)/1e6)
+	tb.AddRowf("p99 latency (ms)", stats.Latency.Quantile(0.99)/1e6)
+	return tb
 }
 
 // replayEchoResume acknowledges a completed replay offload from the
@@ -625,28 +625,14 @@ func runReplayRPCAsync(path string, dilate float64, offloadLatency time.Duration
 	}
 	defer client.Close() //modelcheck:ignore errdrop — pipe close on teardown
 
-	reg := telemetry.NewRegistry()
-	hist, err := reg.Histogram("replay_latency_nanos", "per-call replay latency in nanoseconds")
+	stats, err := record.ReplayRPC(context.Background(), tr, client.CallContext, record.RPCReplayConfig{Dilate: dilate})
 	if err != nil {
 		return err
 	}
-	stats, err := record.ReplayRPC(context.Background(), tr,
-		client.CallContext,
-		record.RPCReplayConfig{Dilate: dilate, Latency: hist})
-	if err != nil {
-		return err
-	}
-	snap := hist.Snapshot()
 	es := eng.Stats()
 	fmt.Printf("Trace replay (rpc, async serving): %s — %d events, %s recorded span, dilation %g, %d engine workers, offload latency %s\n\n",
 		path, len(tr.Events), tr.Duration(), dilate, es.Workers, offloadLatency)
-	tb := textchart.NewTable("Metric", "Value")
-	tb.AddRowf("Requests issued", stats.Issued)
-	tb.AddRowf("Errors", stats.Errors)
-	tb.AddRowf("Replay wall time", stats.Duration.Seconds())
-	tb.AddRowf("Max issue lag (ms)", float64(stats.MaxLagNanos)/1e6)
-	tb.AddRowf("p50 latency (ms)", snap.Quantile(0.5)/1e6)
-	tb.AddRowf("p99 latency (ms)", snap.Quantile(0.99)/1e6)
+	tb := replayStatsTable(stats)
 	tb.AddRowf("Engine served", es.Served)
 	tb.AddRowf("Engine errors", es.Errors)
 	fmt.Print(tb.Render())
@@ -733,9 +719,10 @@ func (t *topologyRun) run(load topology.LoadConfig, metricsOut, traceOut string,
 		return err
 	}
 	rep := t.runner.Report()
-	fmt.Printf("Topology %s: %d tiers, %d issued, %d errors, %s wall time, max lag %.3g ms\n\n",
+	fmt.Printf("Topology %s: %d tiers, %d issued, %d errors, %s wall time, max lag %.3g ms, from due time p50 %.4g ms p99 %.4g ms\n\n",
 		rep.Name, len(rep.Tiers), stats.Issued, stats.Errors,
-		stats.Duration.Round(time.Millisecond), float64(stats.MaxLagNanos)/1e6)
+		stats.Duration.Round(time.Millisecond), float64(stats.MaxLagNanos)/1e6,
+		stats.Latency.Quantile(0.5)/1e6, stats.Latency.Quantile(0.99)/1e6)
 	tb := textchart.NewTable("Node", "Depth", "Requests", "Errors", "p50 ms", "p99 ms", "Tail amp")
 	for _, ts := range rep.Tiers {
 		tb.AddRow(ts.Node, strconv.Itoa(ts.Depth),

@@ -106,6 +106,20 @@ func TestLoadModulePatterns(t *testing.T) {
 	}
 }
 
+// A nested module is not part of ./..., as with the go tool.
+func TestLoadSkipsNestedModule(t *testing.T) {
+	files := map[string]string{
+		"a/a.go":        "package a\n\nfunc A() int { return 1 }\n",
+		"nested/go.mod": "module nested\n\ngo 1.22\n",
+		"nested/bad.go": "package nested\n\nfunc Broken() int { return undefinedSymbol }\n",
+		"nested/x/x.go": "package x\n\nfunc X() int { return 2 }\n",
+	}
+	pkgs := loadTempModule(t, files)
+	if len(pkgs) != 1 || pkgs[0].Path != "fixturemod/a" {
+		t.Fatalf("Load ./... = %v, want only fixturemod/a", pkgs)
+	}
+}
+
 func TestLoadRejectsBrokenSource(t *testing.T) {
 	files := map[string]string{
 		"bad/bad.go": "package bad\n\nfunc Broken() int { return undefinedSymbol }\n",

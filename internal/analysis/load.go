@@ -230,6 +230,13 @@ func discover(fset *token.FileSet, root, modPath string, includeTests bool) (map
 				name == "testdata" || name == "vendor" || name == "scripts") {
 				return filepath.SkipDir
 			}
+			// A directory with its own go.mod is another module, which
+			// the go tool's ./... leaves out too.
+			if path != root {
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
+			}
 			return nil
 		}
 		if !strings.HasSuffix(path, ".go") {

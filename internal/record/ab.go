@@ -12,13 +12,14 @@ import (
 
 // Paired A/B replay over the real RPC stack: one recorded trace drives
 // two client stacks against the same in-process echo server — an
-// unbatched arm (one sequential connection, so concurrent requests queue
-// head-of-line behind each other) and a batched arm (rpc.Batcher
-// coalescing concurrent requests into envelope frames). Both arms replay
-// the identical event list at the identical dilated timestamps with
-// identical payload bytes, so any latency or duration difference is
-// attributable to the client stack alone — the trace-replay equivalent
-// of the paper's paired-experiment methodology (§6).
+// unbatched arm (a one-client pool, so concurrent requests queue
+// head-of-line behind each other on one connection) and a batched arm
+// (rpc.Batcher coalescing concurrent requests into envelope frames).
+// Both arms replay the identical event list at the identical dilated
+// timestamps with identical payload bytes, so any latency or duration
+// difference is attributable to the client stack alone — the
+// trace-replay equivalent of the paper's paired-experiment methodology
+// (§6).
 
 // ABConfig configures a batched-vs-unbatched paired replay.
 type ABConfig struct {
@@ -30,15 +31,11 @@ type ABConfig struct {
 	// Linger is how long the batcher arm waits to fill a batch
 	// (default 200µs).
 	Linger time.Duration
-	// MaxInFlight bounds concurrently outstanding requests per arm
-	// (default: RPCReplayConfig's).
-	MaxInFlight int
 }
 
 // ABArm is one side's measurement.
 type ABArm struct {
-	Stats   RPCReplayStats
-	Latency telemetry.HistogramSnapshot // per-call wall latency, nanoseconds
+	Stats LoadStats
 	// Spans holds the arm's server-side span trees when the replay ran
 	// with tracing (ServingABConfig.Trace); nil otherwise.
 	Spans []telemetry.SpanData
@@ -80,31 +77,22 @@ func ReplayAB(ctx context.Context, tr *Trace, cfg ABConfig) (*ABResult, error) {
 		go srv.ServeConn(serveCtx, serverConn)
 		return rpc.NewClient(clientConn, nil)
 	}
-	arm := func(name string, call CallFunc) (ABArm, error) {
-		reg := telemetry.NewRegistry()
-		hist, err := reg.Histogram("replay_"+name+"_latency_nanos", "per-call replay latency in nanoseconds")
-		if err != nil {
-			return ABArm{}, err
-		}
-		stats, err := ReplayRPC(ctx, tr, call, RPCReplayConfig{
-			Dilate:      cfg.Dilate,
-			MaxInFlight: cfg.MaxInFlight,
-			Latency:     hist,
-		})
-		return ABArm{Stats: stats, Latency: hist.Snapshot()}, err
+	arm := func(call CallFunc) (ABArm, error) {
+		stats, err := ReplayRPC(ctx, tr, call, RPCReplayConfig{Dilate: cfg.Dilate})
+		return ABArm{Stats: stats}, err
 	}
 
 	res := &ABResult{Events: len(tr.Events)}
 
-	// Unbatched arm: the raw client is sequential-only, so concurrent
-	// replay requests serialize behind one connection — the head-of-line
-	// baseline a per-request RPC stack pays under bursts.
-	unbatched, err := newClient()
+	// Unbatched arm: a one-client pool serializes concurrent replay
+	// requests behind one connection — the head-of-line baseline a
+	// per-request RPC stack pays under bursts.
+	unbatched, err := rpc.NewClientPool(1, newClient)
 	if err != nil {
 		return nil, err
 	}
 	defer unbatched.Close() //modelcheck:ignore errdrop — pipe close on teardown
-	if res.Unbatched, err = arm("unbatched", SerializeCalls(unbatched.CallContext)); err != nil {
+	if res.Unbatched, err = arm(unbatched.CallContext); err != nil {
 		return nil, fmt.Errorf("record: unbatched arm: %w", err)
 	}
 
@@ -120,7 +108,7 @@ func ReplayAB(ctx context.Context, tr *Trace, cfg ABConfig) (*ABResult, error) {
 		return nil, err
 	}
 	defer batcher.Close() //modelcheck:ignore errdrop — drains in-flight batches; errors surface per call
-	if res.Batched, err = arm("batched", batcher.CallContext); err != nil {
+	if res.Batched, err = arm(batcher.CallContext); err != nil {
 		return nil, fmt.Errorf("record: batched arm: %w", err)
 	}
 	return res, nil

@@ -36,7 +36,7 @@ func TestReplayABPairedArms(t *testing.T) {
 		if arm.a.Stats.Errors != 0 {
 			t.Errorf("%s arm saw %d errors", arm.name, arm.a.Stats.Errors)
 		}
-		if got := arm.a.Latency.Count; got != uint64(len(tr.Events)) {
+		if got := arm.a.Stats.Latency.Count; got != uint64(len(tr.Events)) {
 			t.Errorf("%s arm recorded %d latencies, want %d", arm.name, got, len(tr.Events))
 		}
 		if arm.a.Stats.Duration <= 0 {

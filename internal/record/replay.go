@@ -3,13 +3,10 @@ package record
 import (
 	"context"
 	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/rpc"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // Replay drives a recorded trace back through the system, two ways:
@@ -24,7 +21,8 @@ import (
 //   - ReplayRPC issues the trace open-loop against a live RPC client at
 //     the recorded timestamps (optionally time-dilated), preserving the
 //     arrival process — including the bursts that closed-loop load
-//     generators destroy — while measuring real client-side latency.
+//     generators destroy — while measuring real client-side latency
+//     from each arrival's due time.
 
 // SimReplayConfig shapes the simulated server each recorded service is
 // replayed against.
@@ -165,25 +163,10 @@ func ReplaySim(t *Trace, cfg SimReplayConfig) (*SimReplayResult, error) {
 	return out, nil
 }
 
-// CallFunc is the client shape ReplayRPC drives — both
-// (*rpc.Client).CallContext and (*rpc.Batcher).CallContext satisfy it,
-// which is what makes the batched-vs-unbatched A/B a one-line swap.
+// CallFunc is the client shape ReplayRPC drives — (*rpc.ClientPool),
+// (*rpc.MuxClient) and (*rpc.Batcher) CallContext all satisfy it, which
+// is what makes the client stack of an A/B a one-line swap.
 type CallFunc func(context.Context, rpc.Message) (rpc.Message, error)
-
-// SerializeCalls adapts a sequential-only client (one rpc.Client on
-// one connection) to the open-loop replayer's concurrent issue:
-// concurrent arrivals queue on a lock, giving the unbatched baseline
-// its real-world shape — head-of-line blocking on a single connection.
-// The Batcher needs no such adapter; coalescing concurrent callers is
-// its entire purpose, which is the contrast the A/B measures.
-func SerializeCalls(call CallFunc) CallFunc {
-	var mu sync.Mutex
-	return func(ctx context.Context, m rpc.Message) (rpc.Message, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return call(ctx, m)
-	}
-}
 
 // RPCReplayConfig shapes an open-loop replay against a live client.
 type RPCReplayConfig struct {
@@ -191,131 +174,34 @@ type RPCReplayConfig struct {
 	// means 1. Replays against real servers usually dilate >= 1 so the
 	// serving stack, not the load generator, is the bottleneck.
 	Dilate float64
-	// MaxInFlight bounds concurrent calls (default 256). When the bound
-	// is hit the replayer blocks — arrivals fall behind schedule rather
-	// than overwhelming the client with unbounded goroutines.
-	MaxInFlight int
-	// MethodSuffix names the replayed calls: service + MethodSuffix
-	// (default ".replay").
-	MethodSuffix string
-	// Latency, when non-nil, records per-call latency in nanoseconds.
-	Latency *telemetry.Histogram
 }
 
-// RPCReplayStats summarizes one open-loop replay.
-type RPCReplayStats struct {
-	Issued   int
-	Errors   int
-	Duration time.Duration
-	// MaxLagNanos is the worst observed scheduling lag: how far behind
-	// the dilated schedule a request was actually issued. Large lag
-	// means the replayer (or the in-flight bound) — not the recorded
-	// process — shaped the arrivals.
-	MaxLagNanos int64
-}
-
-// ReplayRPC issues the trace's events against call at their recorded
-// (dilated) timestamps. Calls run open-loop: a slow response delays
-// nothing behind it, up to MaxInFlight concurrency. Context
-// cancellation stops the replay between issues.
-func ReplayRPC(ctx context.Context, t *Trace, call CallFunc, cfg RPCReplayConfig) (RPCReplayStats, error) {
-	var stats RPCReplayStats
+// ReplayRPC issues the trace's events through OpenLoop against call at
+// their recorded (dilated) timestamps, each as method "<service>.replay"
+// with the event's payload size.
+func ReplayRPC(ctx context.Context, t *Trace, call CallFunc, cfg RPCReplayConfig) (LoadStats, error) {
 	if t == nil || len(t.Events) == 0 {
-		return stats, fmt.Errorf("record: nothing to replay")
+		return LoadStats{}, fmt.Errorf("record: nothing to replay")
 	}
 	if err := t.Validate(); err != nil {
-		return stats, err
+		return LoadStats{}, err
 	}
 	if call == nil {
-		return stats, fmt.Errorf("record: nil call function")
+		return LoadStats{}, fmt.Errorf("record: nil call function")
 	}
 	if cfg.Dilate < 0 {
-		return stats, fmt.Errorf("record: negative time dilation %v", cfg.Dilate)
+		return LoadStats{}, fmt.Errorf("record: negative time dilation %v", cfg.Dilate)
 	}
-	if !(cfg.Dilate > 0) {
-		cfg.Dilate = 1
+	methods := make([]string, len(t.Services))
+	for i, svc := range t.Services {
+		methods[i] = svc + ".replay"
 	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = 256
-	}
-	if cfg.MethodSuffix == "" {
-		cfg.MethodSuffix = ".replay"
-	}
-
-	// One payload buffer per distinct size would still allocate per
-	// call inside the stack; sharing one zero-filled backing array and
-	// slicing it per event keeps the replayer itself quiet.
-	var maxPayload uint64
+	sizes := make([]uint64, len(t.Events))
 	for i := range t.Events {
-		if t.Events[i].PayloadBytes > maxPayload {
-			maxPayload = t.Events[i].PayloadBytes
-		}
+		sizes[i] = t.Events[i].PayloadBytes
 	}
-	const payloadCap = 1 << 20
-	if maxPayload > payloadCap {
-		maxPayload = payloadCap
-	}
-	backing := make([]byte, maxPayload)
-
-	sem := make(chan struct{}, cfg.MaxInFlight)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	errs := 0
-
-	dueTimes := t.DueTimes(cfg.Dilate)
-	start := time.Now()
-	for i := range t.Events {
-		e := &t.Events[i]
-		due := dueTimes[i]
-		if lag := time.Since(start) - due; lag > 0 && int64(lag) > stats.MaxLagNanos {
-			stats.MaxLagNanos = int64(lag)
-		} else if lag < 0 {
-			timer := time.NewTimer(-lag)
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-				timer.Stop()
-				wg.Wait()
-				stats.Errors = errs
-				stats.Duration = time.Since(start)
-				return stats, ctx.Err()
-			}
-		}
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			wg.Wait()
-			stats.Errors = errs
-			stats.Duration = time.Since(start)
-			return stats, ctx.Err()
-		}
-		size := e.PayloadBytes
-		if size > maxPayload {
-			size = maxPayload
-		}
-		msg := rpc.Message{
-			Method:  t.Services[e.Service] + cfg.MethodSuffix,
-			Payload: backing[:size],
-		}
-		stats.Issued++
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			callStart := time.Now()
-			_, err := call(ctx, msg)
-			if cfg.Latency != nil {
-				cfg.Latency.Record(float64(time.Since(callStart)))
-			}
-			if err != nil {
-				mu.Lock()
-				errs++
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	stats.Errors = errs
-	stats.Duration = time.Since(start)
-	return stats, nil
+	return OpenLoop(ctx, t.DueTimes(cfg.Dilate), sizes, func(ctx context.Context, i int, payload []byte) error {
+		_, err := call(ctx, rpc.Message{Method: methods[t.Events[i].Service], Payload: payload})
+		return err
+	})
 }

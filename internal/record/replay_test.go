@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/rpc"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 func TestReplaySimValidation(t *testing.T) {
@@ -165,6 +164,17 @@ func replayServer(t *testing.T, handler rpc.Handler) *rpc.Client {
 	return client
 }
 
+// replayPool wraps one replayServer client in a one-client pool, which
+// serializes the replayer's concurrent calls on its connection.
+func replayPool(t *testing.T, handler rpc.Handler) *rpc.ClientPool {
+	t.Helper()
+	pool, err := rpc.NewClientPool(1, func() (*rpc.Client, error) { return replayServer(t, handler), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pool
+}
+
 func TestReplayRPCValidation(t *testing.T) {
 	ctx := context.Background()
 	call := func(context.Context, rpc.Message) (rpc.Message, error) { return rpc.Message{}, nil }
@@ -192,20 +202,16 @@ func TestReplayRPCIssuesRecordedStream(t *testing.T) {
 	}
 	var calls atomic.Int64
 	var badMethods atomic.Int64
-	client := replayServer(t, func(_ context.Context, req rpc.Message) (rpc.Message, error) {
+	pool := replayPool(t, func(_ context.Context, req rpc.Message) (rpc.Message, error) {
 		calls.Add(1)
 		if len(req.Method) < len(".replay") {
 			badMethods.Add(1)
 		}
 		return rpc.Message{Method: req.Method}, nil
 	})
-	lat := telemetry.NewHistogram("replay_lat", "")
 	// Compress hard: the trace spans ~4ms of recorded time; no reason
 	// for the test to sleep through it at full length.
-	stats, err := ReplayRPC(context.Background(), tr, SerializeCalls(client.CallContext), RPCReplayConfig{
-		Dilate:  0.1,
-		Latency: lat,
-	})
+	stats, err := ReplayRPC(context.Background(), tr, pool.CallContext, RPCReplayConfig{Dilate: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,8 +227,8 @@ func TestReplayRPCIssuesRecordedStream(t *testing.T) {
 	if stats.Errors != 0 {
 		t.Errorf("%d errors from the echo server", stats.Errors)
 	}
-	if snap := lat.Snapshot(); snap.Count != uint64(len(tr.Events)) {
-		t.Errorf("latency histogram recorded %d of %d calls", snap.Count, len(tr.Events))
+	if n := stats.Latency.Count; n != uint64(len(tr.Events)) {
+		t.Errorf("latency histogram recorded %d of %d calls", n, len(tr.Events))
 	}
 	if stats.Duration <= 0 {
 		t.Error("zero replay duration")
@@ -234,10 +240,10 @@ func TestReplayRPCCountsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := replayServer(t, func(_ context.Context, req rpc.Message) (rpc.Message, error) {
+	pool := replayPool(t, func(_ context.Context, req rpc.Message) (rpc.Message, error) {
 		return rpc.Message{}, errors.New("always fails")
 	})
-	stats, err := ReplayRPC(context.Background(), tr, SerializeCalls(client.CallContext), RPCReplayConfig{Dilate: 0.05})
+	stats, err := ReplayRPC(context.Background(), tr, pool.CallContext, RPCReplayConfig{Dilate: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,12 +260,12 @@ func TestReplayRPCCancellation(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		tr.Events = append(tr.Events, Event{ArrivalNanos: int64(i) * int64(10*time.Millisecond), PayloadBytes: 8})
 	}
-	client := replayServer(t, func(_ context.Context, req rpc.Message) (rpc.Message, error) {
+	pool := replayPool(t, func(_ context.Context, req rpc.Message) (rpc.Message, error) {
 		return rpc.Message{Method: req.Method}, nil
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	stats, err := ReplayRPC(ctx, tr, SerializeCalls(client.CallContext), RPCReplayConfig{})
+	stats, err := ReplayRPC(ctx, tr, pool.CallContext, RPCReplayConfig{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}

@@ -28,9 +28,6 @@ type ServingABConfig struct {
 	// Dilate stretches (>1) or compresses (<1) the recorded inter-arrival
 	// gaps in both arms; 0 means 1 (real time).
 	Dilate float64
-	// MaxInFlight bounds concurrently outstanding requests per arm
-	// (default: RPCReplayConfig's).
-	MaxInFlight int
 	// Workers is each arm's engine pool size (default 4) — the W that
 	// caps the sync arm's concurrent offloads.
 	Workers int
@@ -150,17 +147,8 @@ func runServingArm(ctx context.Context, tr *Trace, cfg ServingABConfig, name str
 	}
 	defer client.Close() //modelcheck:ignore errdrop — arm teardown; replay errors surface per call
 
-	reg := telemetry.NewRegistry()
-	hist, err := reg.Histogram("replay_serving_"+name+"_latency_nanos", "per-call replay latency in nanoseconds")
-	if err != nil {
-		return ABArm{}, err
-	}
-	stats, err := ReplayRPC(ctx, tr, client.CallContext, RPCReplayConfig{
-		Dilate:      cfg.Dilate,
-		MaxInFlight: cfg.MaxInFlight,
-		Latency:     hist,
-	})
-	arm := ABArm{Stats: stats, Latency: hist.Snapshot()}
+	stats, err := ReplayRPC(ctx, tr, client.CallContext, RPCReplayConfig{Dilate: cfg.Dilate})
+	arm := ABArm{Stats: stats}
 	if tracer != nil {
 		arm.Spans = tracer.Spans()
 	}

@@ -43,7 +43,7 @@ func TestReplayServingABPairedArms(t *testing.T) {
 		if arm.a.Stats.Errors != 0 {
 			t.Errorf("%s arm saw %d errors", arm.name, arm.a.Stats.Errors)
 		}
-		if got := arm.a.Latency.Count; got != uint64(len(tr.Events)) {
+		if got := arm.a.Stats.Latency.Count; got != uint64(len(tr.Events)) {
 			t.Errorf("%s arm recorded %d latencies, want %d", arm.name, got, len(tr.Events))
 		}
 	}
@@ -51,8 +51,8 @@ func TestReplayServingABPairedArms(t *testing.T) {
 	// sync worker for 2ms: blocking serializes offloads W at a time, so
 	// its p99 must exceed the async arm's. Generous 1.2x slack keeps CI
 	// machines honest without flaking.
-	syncP99 := res.Sync.Latency.Quantile(0.99)
-	asyncP99 := res.Async.Latency.Quantile(0.99)
+	syncP99 := res.Sync.Stats.Latency.Quantile(0.99)
+	asyncP99 := res.Async.Stats.Latency.Quantile(0.99)
 	if asyncP99 > syncP99*1.2 {
 		t.Errorf("async p99 %.0fns worse than sync p99 %.0fns under a retry storm", asyncP99, syncP99)
 	}

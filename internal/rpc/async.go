@@ -463,11 +463,13 @@ func (e *Engine) finish(ac *AsyncCall, resp Message, err error) {
 		}
 		resp.Headers[HeaderCID] = ac.cid
 	}
+	// Count before responding: a caller holding its response must see
+	// itself in Served.
+	e.served.Inc()
 	// A write error means the connection died; the continuation still
 	// completes and recycles, it just has no one to tell.
 	//modelcheck:ignore errdrop — response write failure is terminal for the conn, not the engine
 	_ = ac.cw.respond(ac.ctx, resp, ac.sp)
-	e.served.Inc()
 	e.putCall(ac)
 }
 

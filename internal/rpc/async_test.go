@@ -302,30 +302,22 @@ func TestAsyncServerRejectsBatch(t *testing.T) {
 	}
 }
 
-// TestConcurrentServerOutOfOrder: the spawn-per-request blocking server
-// also supports out-of-order completion through the shared conn writer —
-// a gated first request must not block a second one on the same conn.
-func TestConcurrentServerOutOfOrder(t *testing.T) {
+// TestAsyncServerOutOfOrder: responses complete out of order through the
+// shared conn writer — a gated first request holding one engine worker
+// must not block a second one on the same conn.
+func TestAsyncServerOutOfOrder(t *testing.T) {
 	gate := make(chan struct{})
-	srv, err := NewConcurrentServer(func(_ context.Context, req Message) (Message, error) {
+	eng := newTestEngine(t, EngineConfig{Workers: 2})
+	addr := startAsyncTestServer(t, func(_ context.Context, req Message, _ *AsyncCall) (Message, error) {
 		if req.Method == "slow" {
 			<-gate
 		}
 		return Message{Method: req.Method, Payload: req.Payload}, nil
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(context.Background(), lis) //modelcheck:ignore errdrop — Serve's error is the normal shutdown path
-	t.Cleanup(func() { srv.Close() })       // errors swallowed per the teardown rule
-	client := dialMux(t, lis.Addr().String())
-	// Cleanups run LIFO: the gate must open before the client closes its
-	// conn and the server drains its spawned handlers, or teardown wedges
-	// on a failure path that never reached close(gate).
+	}, eng)
+	client := dialMux(t, addr)
+	// Cleanups run LIFO: the gate must open before the client, server and
+	// engine close, or teardown wedges on a failure path that never
+	// reached close(gate).
 	var gateOnce sync.Once
 	openGate := func() { gateOnce.Do(func() { close(gate) }) }
 	t.Cleanup(openGate)
@@ -497,9 +489,6 @@ func TestEngineConfigValidation(t *testing.T) {
 		t.Fatal("nil engine accepted")
 	}
 	_ = eng
-	if _, err := NewConcurrentServer(nil, nil); err == nil {
-		t.Fatal("nil handler accepted")
-	}
 }
 
 // TestAsyncTracedWaits drives the park/resume path with a tracer attached

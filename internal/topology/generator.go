@@ -3,7 +3,6 @@ package topology
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/dist"
@@ -34,28 +33,10 @@ type LoadConfig struct {
 	// Dilate stretches (>1) or compresses (<1) the trace's recorded
 	// gaps; 0 means 1.
 	Dilate float64
-	// MaxInFlight bounds concurrent injections (default 256). At the
-	// bound the generator blocks — arrivals fall behind schedule rather
-	// than piling up unbounded goroutines; MaxLagNanos reports it.
-	MaxInFlight int
-	// PayloadBytes sizes synthetic request payloads (default 256).
-	PayloadBytes int
 	// Recorder, when non-nil, captures the injected stream (one event
 	// per root per arrival, with the request's outcome) so a live run
 	// can be re-driven later through Trace.
 	Recorder *record.Recorder
-}
-
-// LoadStats summarizes one open-loop run.
-type LoadStats struct {
-	Issued   int
-	Errors   int
-	Duration time.Duration
-	// MaxLagNanos is the worst observed scheduling lag — how far behind
-	// the schedule an arrival was actually injected. Large lag means
-	// the generator (or MaxInFlight), not the offered process, shaped
-	// the arrivals.
-	MaxLagNanos int64
 }
 
 // schedule computes the arrival offsets and per-arrival payload sizes.
@@ -83,10 +64,7 @@ func (cfg *LoadConfig) schedule() ([]time.Duration, []uint64, error) {
 	if cfg.Requests <= 0 {
 		return nil, nil, fmt.Errorf("topology: Requests must be positive, got %d", cfg.Requests)
 	}
-	payload := uint64(256)
-	if cfg.PayloadBytes > 0 {
-		payload = uint64(cfg.PayloadBytes)
-	}
+	const payload = 256 // synthetic request payload bytes
 	gap := float64(time.Second) / cfg.QPS
 	due := make([]time.Duration, cfg.Requests)
 	sizes := make([]uint64, cfg.Requests)
@@ -112,96 +90,31 @@ func (cfg *LoadConfig) schedule() ([]time.Duration, []uint64, error) {
 }
 
 // RunOpenLoop injects the configured arrival stream at the topology's
-// roots: each arrival is one Runner.Call issued at its scheduled offset,
-// open-loop — a slow request delays nothing behind it, up to
-// MaxInFlight. Latency lands in the runner's e2e and per-node
-// histograms. Cancelling ctx stops the injection between arrivals and
-// waits for in-flight requests.
-func (r *Runner) RunOpenLoop(ctx context.Context, cfg LoadConfig) (LoadStats, error) {
-	var stats LoadStats
+// roots through record.OpenLoop: each arrival is one Runner.Call issued
+// at its scheduled offset. The returned stats time each request from its
+// due time; the runner's e2e and per-node histograms time the service
+// alone. Cancelling ctx stops the injection between arrivals and waits
+// for in-flight requests.
+func (r *Runner) RunOpenLoop(ctx context.Context, cfg LoadConfig) (record.LoadStats, error) {
 	due, sizes, err := cfg.schedule()
 	if err != nil {
-		return stats, err
+		return record.LoadStats{}, err
 	}
 	if len(r.roots) == 0 {
-		return stats, fmt.Errorf("topology: runner not started")
+		return record.LoadStats{}, fmt.Errorf("topology: runner not started")
 	}
-	maxInFlight := cfg.MaxInFlight
-	if maxInFlight <= 0 {
-		maxInFlight = 256
-	}
-
-	// One zero-filled backing array serves every payload size.
-	const payloadCap = 1 << 20
-	var maxPayload uint64
-	for _, s := range sizes {
-		if s > maxPayload {
-			maxPayload = s
-		}
-	}
-	if maxPayload > payloadCap {
-		maxPayload = payloadCap
-	}
-	backing := make([]byte, maxPayload)
-
-	sem := make(chan struct{}, maxInFlight)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	errs := 0
-
-	start := time.Now()
-	for i := range due {
-		if lag := time.Since(start) - due[i]; lag > 0 && int64(lag) > stats.MaxLagNanos {
-			stats.MaxLagNanos = int64(lag)
-		} else if lag < 0 {
-			timer := time.NewTimer(-lag)
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-				timer.Stop()
-				wg.Wait()
-				stats.Errors = errs
-				stats.Duration = time.Since(start)
-				return stats, ctx.Err()
-			}
-		}
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			wg.Wait()
-			stats.Errors = errs
-			stats.Duration = time.Since(start)
-			return stats, ctx.Err()
-		}
-		size := sizes[i]
-		if size > maxPayload {
-			size = maxPayload
-		}
-		arrival := int64(due[i])
-		stats.Issued++
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			_, err := r.Call(ctx, backing[:size])
+	return record.OpenLoop(ctx, due, sizes, func(ctx context.Context, i int, payload []byte) error {
+		_, err := r.Call(ctx, payload)
+		if cfg.Recorder != nil {
+			outcome := record.OutcomeOK
 			if err != nil {
-				mu.Lock()
-				errs++
-				mu.Unlock()
+				outcome = record.OutcomeError
 			}
-			if cfg.Recorder != nil {
-				outcome := record.OutcomeOK
-				if err != nil {
-					outcome = record.OutcomeError
-				}
-				for _, root := range r.graph.Roots() {
-					cfg.Recorder.RecordAt(arrival, root, size, size, outcome)
-				}
+			size := uint64(len(payload))
+			for _, root := range r.graph.Roots() {
+				cfg.Recorder.RecordAt(int64(due[i]), root, size, size, outcome)
 			}
-		}()
-	}
-	wg.Wait()
-	stats.Errors = errs
-	stats.Duration = time.Since(start)
-	return stats, nil
+		}
+		return err
+	})
 }

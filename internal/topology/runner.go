@@ -29,9 +29,6 @@ type RunnerConfig struct {
 	// PoolSize is the number of pooled clients per graph edge
 	// (default 4); it bounds each edge's concurrent downstream calls.
 	PoolSize int
-	// UseBatcher coalesces each edge's downstream calls through an
-	// rpc.Batcher over a single connection instead of a client pool.
-	UseBatcher bool
 	// CallTimeout bounds each downstream call (default 10s).
 	CallTimeout time.Duration
 	// UnitIters is the spin cost of one work unit (default
@@ -59,8 +56,7 @@ type RunnerConfig struct {
 	// Process = node name), Runner.Call roots a synthetic topo.request
 	// span, and handlers plant trace context on mid-request fan-out so
 	// one request's spans from all tiers assemble into a single tree
-	// (internal/tailtrace). Incompatible with UseBatcher: batched
-	// exchanges carry no per-call trace context.
+	// (internal/tailtrace).
 	Trace bool
 	// TraceSampleRate keeps 1 in N traces when tracing (default 1 =
 	// all). The verdict is a deterministic hash of the trace ID, so
@@ -86,33 +82,8 @@ func (c *RunnerConfig) setDefaults() {
 	}
 }
 
-// edgeCaller is one graph edge's downstream transport: a ClientPool by
-// default, or a Batcher over one connection with UseBatcher.
-type edgeCaller interface {
-	CallContext(ctx context.Context, req rpc.Message) (rpc.Message, error)
-	Close() error
-}
-
-// batcherCaller adapts a Batcher plus its underlying client to edgeCaller.
-type batcherCaller struct {
-	b *rpc.Batcher
-	c *rpc.Client
-}
-
-func (bc *batcherCaller) CallContext(ctx context.Context, req rpc.Message) (rpc.Message, error) {
-	return bc.b.CallContext(ctx, req)
-}
-
-func (bc *batcherCaller) Close() error {
-	err := bc.b.Close()
-	if cerr := bc.c.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// nodeRuntime is one live node: a real rpc.Server on loopback plus the
-// edge callers for its children.
+// nodeRuntime is one live node: a real rpc.Server on loopback plus a
+// client pool per child edge.
 type nodeRuntime struct {
 	node  *Node
 	depth int
@@ -127,7 +98,7 @@ type nodeRuntime struct {
 
 	lis   net.Listener
 	srv   *rpc.Server
-	edges []edgeCaller // index-aligned with node.Children
+	edges []*rpc.ClientPool // index-aligned with node.Children
 
 	latency *telemetry.Histogram
 	errors  *telemetry.Counter
@@ -143,7 +114,7 @@ type Runner struct {
 
 	nodes  []*nodeRuntime // graph declaration order
 	byName map[string]*nodeRuntime
-	roots  []edgeCaller // index-aligned with graph.Roots()
+	roots  []*rpc.ClientPool // index-aligned with graph.Roots()
 	e2e    *telemetry.Histogram
 	tracer *telemetry.Tracer // the injector's span sink (nil without Trace)
 
@@ -166,12 +137,6 @@ func NewRunner(g *Graph, cfg RunnerConfig) (*Runner, error) {
 	}
 	if cfg.Async && cfg.Accel == nil {
 		return nil, fmt.Errorf("topology: runner: Async requires Accel (the offload parameters)")
-	}
-	if cfg.Async && cfg.UseBatcher {
-		return nil, fmt.Errorf("topology: runner: Async and UseBatcher are mutually exclusive (async servers do not accept batch frames)")
-	}
-	if cfg.Trace && cfg.UseBatcher {
-		return nil, fmt.Errorf("topology: runner: Trace and UseBatcher are mutually exclusive (batched exchanges carry no per-call trace context)")
 	}
 	cfg.setDefaults()
 	r := &Runner{
@@ -325,7 +290,7 @@ func (r *Runner) Start(ctx context.Context) error {
 // dialEdge connects an upstream caller to a node's listener; tracer
 // (optional) instruments every pooled client so each downstream call
 // produces a joined rpc.Call span on the caller's timeline.
-func (r *Runner) dialEdge(target *nodeRuntime, tracer *telemetry.Tracer) (edgeCaller, error) {
+func (r *Runner) dialEdge(target *nodeRuntime, tracer *telemetry.Tracer) (*rpc.ClientPool, error) {
 	addr := target.lis.Addr().String()
 	dial := func() (*rpc.Client, error) {
 		conn, err := net.Dial("tcp", addr)
@@ -340,18 +305,6 @@ func (r *Runner) dialEdge(target *nodeRuntime, tracer *telemetry.Tracer) (edgeCa
 			c.Instrument(&rpc.Instrumentation{Tracer: tracer})
 		}
 		return c, nil
-	}
-	if r.cfg.UseBatcher {
-		c, err := dial()
-		if err != nil {
-			return nil, err
-		}
-		b, err := rpc.NewBatcher(c, rpc.BatcherConfig{})
-		if err != nil {
-			c.Close() //modelcheck:ignore errdrop — best-effort unwind, the batcher error is reported
-			return nil, err
-		}
-		return &batcherCaller{b: b, c: c}, nil
 	}
 	return rpc.NewClientPool(r.cfg.PoolSize, dial)
 }

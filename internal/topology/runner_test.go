@@ -118,23 +118,6 @@ func TestRunnerTraceArrivals(t *testing.T) {
 	}
 }
 
-// TestRunnerBatcherEdges swaps every edge's client pool for a Batcher.
-func TestRunnerBatcherEdges(t *testing.T) {
-	cfg := fastConfig(nil)
-	cfg.UseBatcher = true
-	r := startRunner(t, "topology b\nnode Front work=2 kernel=2 -> Leaf\nnode Leaf work=2 kernel=2\n", cfg)
-	stats, err := r.RunOpenLoop(context.Background(), LoadConfig{QPS: 1000, Requests: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Issued != 32 || stats.Errors != 0 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	if rep := r.Report(); rep.Tiers[1].Requests != 32 {
-		t.Fatalf("leaf saw %d requests, want 32", rep.Tiers[1].Requests)
-	}
-}
-
 // TestRunnerAccelArm: the accelerated runner reports faster tiers than
 // baseline for the same offered load (coarse sanity, exact comparison
 // lives in the non-short measured-vs-model test).
@@ -285,10 +268,5 @@ func TestRunnerAsyncValidation(t *testing.T) {
 	cfg.Async = true
 	if _, err := NewRunner(g, cfg); err == nil {
 		t.Fatal("Async without Accel succeeded")
-	}
-	cfg.Accel = &testAccel
-	cfg.UseBatcher = true
-	if _, err := NewRunner(g, cfg); err == nil {
-		t.Fatal("Async with UseBatcher succeeded")
 	}
 }

@@ -150,7 +150,7 @@ func TestScenarioGoldenReplay(t *testing.T) {
 }
 
 // TestScenarioBatchedABProof is the paired-comparison proof: the
-// retry-storm trace replays through an unbatched sequential client and
+// retry-storm trace replays through an unbatched one-client pool and
 // the coalescing batcher against the same in-process server, on
 // byte-identical arrivals; both arms must issue every recorded event
 // without error. The measured latency contrast is recorded in
@@ -174,6 +174,6 @@ func TestScenarioBatchedABProof(t *testing.T) {
 		}
 	}
 	t.Logf("unbatched mean %.3gms p99 %.3gms | batched mean %.3gms p99 %.3gms",
-		res.Unbatched.Latency.Mean()/1e6, res.Unbatched.Latency.Quantile(0.99)/1e6,
-		res.Batched.Latency.Mean()/1e6, res.Batched.Latency.Quantile(0.99)/1e6)
+		res.Unbatched.Stats.Latency.Mean()/1e6, res.Unbatched.Stats.Latency.Quantile(0.99)/1e6,
+		res.Batched.Stats.Latency.Mean()/1e6, res.Batched.Stats.Latency.Quantile(0.99)/1e6)
 }

@@ -22,10 +22,13 @@
 #   7. go test -race ./...       (unit + integration tests under the race
 #                                 detector; covers the concurrent rpc/sim
 #                                 layers)
-#   8. fuzz smoke                (each rpc + record fuzz target runs for a
+#   8. perfbench vet + tests     (the benchmark is its own module, so the
+#                                 root ./... misses an API change that
+#                                 breaks it)
+#   9. fuzz smoke                (each rpc + record fuzz target runs for a
 #                                 short -fuzztime beyond its checked-in
 #                                 corpus; FUZZTIME overrides, default 3s)
-#   9. async serving gates       (scripts/bench_async.sh: pooled park/
+#  10. async serving gates       (scripts/bench_async.sh: pooled park/
 #                                 resume alloc budget, async >= 2x blocking
 #                                 throughput at high in-flight counts, and
 #                                 the 100k-in-flight goroutine-ceiling
@@ -271,6 +274,9 @@ echo "    ok: $(wc -c < modelcheck.sarif) bytes"
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+echo "==> perfbench: go vet + go test (its own module; the root ./... skips it)"
+(cd perfbench && go vet ./... && go test -count=1 ./...)
 
 echo "==> fuzz smoke (${FUZZTIME:-3s} per target)"
 fuzz_smoke() {
